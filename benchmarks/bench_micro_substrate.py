@@ -10,7 +10,7 @@ from repro.network.node import NodeTable
 from repro.radio.medium import Medium
 from repro.radio.messages import Transmission
 from repro.radio.schedule import TdmaSchedule
-from repro.runner.broadcast_run import ThresholdRunConfig
+from repro.scenario import ScenarioSpec
 from repro.scenario import run as run_spec
 
 SPEC = GridSpec(width=30, height=30, r=2, torus=True)
@@ -63,14 +63,15 @@ def test_local_boundedness_validation(benchmark):
 def test_full_protocol_b_run(benchmark):
     def run():
         return run_spec(
-            ThresholdRunConfig(
-                spec=SPEC,
+            ScenarioSpec(
+                grid=SPEC,
                 t=2,
                 mf=2,
                 placement=RandomPlacement(t=2, count=20, seed=1),
                 protocol="b",
+                behavior="jam",
                 batch_per_slot=4,
-            ).to_scenario_spec()
+            )
         )
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

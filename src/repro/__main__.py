@@ -27,7 +27,6 @@ Usage::
     python -m repro chaos run                   # replay fault plans, check bytes
     python -m repro chaos run quickstart --plan plan.json --no-serve
     python -m repro chaos sample --seed 3       # print a sampled FaultPlan
-    python -m repro e2                          # legacy alias for `run e2`
 
 ``--workers N`` fans each experiment's sweep points out over ``N``
 spawn-safe worker processes (``0`` = one per CPU); results are
@@ -262,9 +261,6 @@ def _sigterm_as_interrupt() -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ids = registry.experiment_ids()
-    # Legacy spelling: `python -m repro e2` / `python -m repro all`.
-    if argv and argv[0] in (*ids, "all"):
-        argv = ["run", *argv]
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",

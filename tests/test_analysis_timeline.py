@@ -4,8 +4,7 @@ from repro.adversary.placement import RandomPlacement, two_stripe_band
 from repro.analysis.timeline import propagation_timeline
 from repro.network.grid import Grid, GridSpec
 from repro.network.node import NodeTable
-from repro.runner.broadcast_run import ThresholdRunConfig
-from repro.scenario import run
+from repro.scenario import ScenarioSpec, run
 
 
 class StubNode:
@@ -66,15 +65,16 @@ def test_non_monotone_front_detected():
 
 def test_real_run_front_is_monotone():
     """Protocol B's growing committed region implies a monotone front."""
-    cfg = ThresholdRunConfig(
-        spec=GridSpec(18, 18, r=1, torus=True),
+    spec = ScenarioSpec(
+        grid=GridSpec(18, 18, r=1, torus=True),
         t=1,
         mf=2,
         placement=RandomPlacement(t=1, count=6, seed=4),
         protocol="b",
+        behavior="jam",
         batch_per_slot=2,
     )
-    report = run(cfg.to_scenario_spec())
+    report = run(spec)
     assert report.success
     timeline = propagation_timeline(report.table, report.nodes)
     assert timeline.front_is_monotone
@@ -85,18 +85,20 @@ def test_starved_band_shows_in_timeline():
     spec = GridSpec(30, 30, r=2, torus=True)
     grid = Grid(spec)
     placement, band_rows = two_stripe_band(grid, t=2, band_height=6, below_y0=8)
-    band = [grid.id_of((x, y)) for y in band_rows for x in range(30)]
-    cfg = ThresholdRunConfig(
-        spec=spec,
-        t=2,
-        mf=3,
-        placement=placement,
-        protocol="b",
-        m=1,  # below m0: the band starves
-        protected=band,
-        batch_per_slot=4,
+    band = tuple(grid.id_of((x, y)) for y in band_rows for x in range(30))
+    report = run(
+        ScenarioSpec(
+            grid=spec,
+            t=2,
+            mf=3,
+            placement=placement,
+            protocol="b",
+            behavior="jam",
+            m=1,  # below m0: the band starves
+            protected=band,
+            batch_per_slot=4,
+        )
     )
-    report = run(cfg.to_scenario_spec())
     timeline = propagation_timeline(report.table, report.nodes)
     assert timeline.covered_radius < 15
     incomplete = [b for b in timeline.buckets if not b.complete]

@@ -116,6 +116,6 @@ class TestCli:
     def test_single_experiment_runs(self, capsys):
         from repro.__main__ import main
 
-        assert main(["e11"]) == 0
+        assert main(["run", "e11"]) == 0
         out = capsys.readouterr().out
         assert "E11" in out and "finished" in out

@@ -5,7 +5,7 @@ import pytest
 from repro.adversary.placement import RandomPlacement, StripePlacement, two_stripe_band
 from repro.analysis.bounds import m0, protocol_b_relay_count
 from repro.network.grid import Grid, GridSpec
-from repro.runner.broadcast_run import ThresholdRunConfig
+from repro.scenario import ScenarioSpec
 from repro.scenario import run as run_spec
 
 SPEC = GridSpec(width=18, height=18, r=1, torus=True)
@@ -13,19 +13,20 @@ SPEC = GridSpec(width=18, height=18, r=1, torus=True)
 
 def run(protocol="b", behavior="jam", t=1, mf=2, m=None, spec=SPEC,
         placement=None, protected=None, **kwargs):
-    cfg = ThresholdRunConfig(
-        spec=spec,
-        t=t,
-        mf=mf,
-        placement=placement or RandomPlacement(t=t, count=8, seed=2),
-        protocol=protocol,
-        behavior=behavior,
-        m=m,
-        protected=protected,
-        batch_per_slot=4,
-        **kwargs,
+    return run_spec(
+        ScenarioSpec(
+            grid=spec,
+            t=t,
+            mf=mf,
+            placement=placement or RandomPlacement(t=t, count=8, seed=2),
+            protocol=protocol,
+            behavior=behavior,
+            m=m,
+            protected=None if protected is None else tuple(protected),
+            batch_per_slot=4,
+            **kwargs,
+        )
     )
-    return run_spec(cfg.to_scenario_spec())
 
 
 class TestProtocolB:
@@ -137,28 +138,6 @@ class TestConfigValidation:
 
         with pytest.raises(ConfigurationError):
             run(protocol="nope")
-
-    @pytest.mark.filterwarnings(
-        "default:run_threshold_broadcast is deprecated"
-    )
-    def test_custom_behavior_requires_factory(self):
-        # The custom-factory guard lives in the deprecated entry point
-        # itself (to_scenario_spec maps "custom" to None), so this test
-        # deliberately goes through the shim.
-        from repro.errors import ConfigurationError
-        from repro.runner.broadcast_run import run_threshold_broadcast
-
-        with pytest.raises(ConfigurationError):
-            run_threshold_broadcast(
-                ThresholdRunConfig(
-                    spec=SPEC,
-                    t=1,
-                    mf=2,
-                    placement=RandomPlacement(t=1, count=8, seed=2),
-                    protocol="b",
-                    behavior="custom",
-                )
-            )
 
     def test_placement_validated_against_t(self):
         from repro.errors import PlacementError

@@ -59,10 +59,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "15 hits, 0 stored" in out
 
-    def test_legacy_bare_experiment_form(self, capsys):
-        assert main(["e11"]) == 0
-        assert "E11" in capsys.readouterr().out
-
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
