@@ -35,7 +35,7 @@ def test_medium_slot_resolution(benchmark):
 
 def test_medium_slot_resolution_reference(benchmark):
     # The preserved dict-based resolver: the fast path's referee and
-    # the baseline the BENCH_slot_resolution.json trajectory divides by.
+    # the baseline to read test_medium_slot_resolution against.
     grid = Grid(SPEC)
     medium = Medium(grid, fast=False)
     transmitters = [

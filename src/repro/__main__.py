@@ -7,10 +7,6 @@ Usage::
     python -m repro run e2 e7 --workers 4       # several, in parallel
     python -m repro run all --cache-dir .cache  # everything, memoized
     python -m repro run e2 --profile            # cProfile one serial run
-    python -m repro bench                       # slot-resolution benchmark
-    python -m repro bench scenario              # end-to-end run(spec) bench
-    python -m repro bench --quick               # CI smoke (gates on the
-                                                #  trajectory's last entry)
     python -m repro scenario list               # bundled scenario presets
     python -m repro scenario dump figure2       # preset as editable JSON
     python -m repro scenario run my.json        # run a JSON scenario file
@@ -40,14 +36,6 @@ or a list of them) that need no Python edits at all. Specs sweep through
 the same parallel/cache substrate as the experiments, keyed by each
 scenario's stable content hash.
 
-``bench`` times the per-slot delivery-resolution hot loop (fast path vs
-the preserved reference path) on the E2 Figure-2 scenario; ``bench
-scenario`` times full end-to-end ``run(spec)`` on the bundled presets,
-fast path vs the pre-fast-path shape. Both append to their trajectory
-file (``BENCH_slot_resolution.json`` / ``BENCH_scenario_run.json``, see
-:mod:`repro.runner.bench`) and exit nonzero on a >1.5x speedup
-regression versus the trajectory's last entry.
-
 ``serve`` starts the long-lived scenario service (:mod:`repro.serve`):
 ScenarioSpec JSON over HTTP on ``POST /run``, answered with the exact
 bytes a direct ``run(spec)`` report serializes to, deduplicating
@@ -59,16 +47,13 @@ directory (entries, bytes, corrupt files) without touching its
 contents; ``cache prune`` evicts entries by age and/or total size
 (oldest first, ``--dry-run`` to preview) — safe at any time, since
 invalidation is structural and pruned points are simply recomputed.
-``bench serve`` benchmarks the daemon end to end against the
-direct-run baseline (trajectory ``BENCH_serve.json``).
 
 ``atlas`` maps each preset's empirical success/failure frontier along
 the ``m``/``t``/``mf`` axes by adaptive bisection and writes a
 browsable ``atlas.md`` + ``atlas.json`` artifact pair (deterministic:
 same scenarios → byte-identical files). Probes batch through the same
 sweep substrate as everything else, so ``--cache-dir`` makes re-runs
-incremental; ``bench atlas`` times cold vs cache-warm builds
-(trajectory ``BENCH_atlas.json``).
+incremental.
 
 ``run``/``scenario run`` sweeps treat SIGTERM like Ctrl-C: workers are
 stopped, a ``sweep interrupted: N/M points completed`` note goes to
@@ -107,7 +92,6 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.experiments import registry
-from repro.runner import bench as bench_mod
 from repro.runner.parallel import ResultCache, SweepProgress
 from repro.runner.parallel import sweep as parallel_sweep
 from repro.scenario import (
@@ -296,35 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         "--profile",
         action="store_true",
         help="cProfile one serial run and print the top cumulative entries",
-    )
-    bench_parser = sub.add_parser(
-        "bench",
-        help="microbenchmarks: per-slot resolution or end-to-end scenarios",
-    )
-    bench_parser.add_argument(
-        "which",
-        nargs="?",
-        choices=("slot", "scenario", "serve", "atlas"),
-        default="slot",
-        help=(
-            "'slot' times Medium.resolve_slot fast vs reference (default); "
-            "'scenario' times full run(spec) fast vs legacy on the presets; "
-            "'serve' times the scenario service vs direct runs; "
-            "'atlas' times the frontier search cold vs cache-warm"
-        ),
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer iterations (CI smoke run)",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default=None,
-        help=(
-            f"trajectory JSON path (default: {bench_mod.DEFAULT_OUT}, "
-            f"{bench_mod.DEFAULT_SCENARIO_OUT}, or BENCH_serve.json)"
-        ),
     )
     scenario_parser = sub.add_parser(
         "scenario", help="declarative ScenarioSpec scenarios (JSON/presets)"
@@ -747,13 +702,6 @@ def main(argv: list[str] | None = None) -> int:
         except (ReproError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-
-    if args.command == "bench":
-        return bench_mod.main_bench(
-            which=args.which,
-            out=args.out,
-            quick=args.quick,
-        )
 
     if args.command == "check":
         from repro.check.cli import check_command

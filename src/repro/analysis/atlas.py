@@ -46,9 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.scenario.spec import ScenarioSpec
 
 #: Presets a full atlas maps, in report order. ``megatorus`` is excluded
-#: (each probe is a 10^6-node run — the bench trajectory covers it) and
-#: ``stripe-impossibility`` is included to show a frontier from the
-#: failing side.
+#: (each probe is a 10^6-node run — perfbench's megatorus workload covers
+#: it) and ``stripe-impossibility`` is included to show a frontier from
+#: the failing side.
 DEFAULT_ATLAS_PRESETS = (
     "quickstart",
     "stripe-impossibility",

@@ -7,6 +7,8 @@ still being able to discriminate precise failure modes.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,6 +42,23 @@ class SpecValidationError(ConfigurationError):
         super().__init__(message)
         self.field = field
         self.suggestions: tuple[str, ...] = tuple(suggestions)
+
+
+def require_int(field: str, value: object) -> None:
+    """Reject anything but a non-bool integer for the count field ``field``.
+
+    ``True`` would run exactly like ``1`` yet hash differently, and a
+    float such as ``2.5`` would pass the range checks only to fail
+    mid-run, so both are refused where a spec is built.
+    """
+    if type(value) is int:
+        # Plain ints, the common case, skip the ABC check below, which
+        # costs ~0.7 us a call: every served request validates a spec.
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecValidationError(
+            f"{field} must be an integer, got {value!r}", field=field
+        )
 
 
 class BudgetExceededError(ReproError):

@@ -27,8 +27,7 @@ single source of truth and the tuple view is what hot loops iterate
 (tuple iteration only increfs pre-boxed ints; indexing an ``array``
 boxes on every access). The per-slot delivery resolver
 (:mod:`repro.radio.medium`) combines this with dense id-indexed scratch
-buffers to do steady-state slot resolution with no dict/set churn;
-``python -m repro bench`` tracks its speedup.
+buffers to do steady-state slot resolution with no dict/set churn.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ try:  # optional accelerator; every path below has a pure-python twin
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.geometry.linf import chebyshev, chebyshev_torus, linf_ball_offsets
 from repro.types import Coord, NodeId
 
@@ -100,6 +99,8 @@ class GridSpec:
     torus: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("width", "height", "r"):
+            require_int(f"grid.{name}", getattr(self, name))
         if self.r < 1:
             raise ConfigurationError(f"transmission radius must be >= 1, got {self.r}")
         if self.width < 1 or self.height < 1:

@@ -3,9 +3,8 @@
 Scenario *assembly* lives in :mod:`repro.scenario` (the declarative
 ``ScenarioSpec`` + registry API); this package keeps the execution
 substrate — the parallel sweep engine and result cache
-(:mod:`repro.runner.parallel`), report formatting
-(:mod:`repro.runner.report`) and the benchmark harness
-(:mod:`repro.runner.bench`, imported directly, not re-exported here).
+(:mod:`repro.runner.parallel`) and report formatting
+(:mod:`repro.runner.report`).
 """
 
 from repro.runner.report import BroadcastReport, format_table

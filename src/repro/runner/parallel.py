@@ -45,6 +45,7 @@ import hashlib
 import importlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -461,8 +462,10 @@ def prune_cache_dir(
         )
     if max_bytes is not None and max_bytes < 0:
         raise ConfigurationError(f"max_bytes must be >= 0, got {max_bytes}")
-    if max_age_s is not None and max_age_s < 0:
-        raise ConfigurationError(f"max_age_s must be >= 0, got {max_age_s}")
+    if max_age_s is not None and not 0 <= max_age_s < math.inf:
+        raise ConfigurationError(
+            f"max_age_s must be finite and >= 0, got {max_age_s}"
+        )
     root = Path(directory)
     if not root.is_dir():
         raise ConfigurationError(f"not a cache directory: {root}")
@@ -680,7 +683,7 @@ class PersistentPool(SupervisedPool):
     capped backoff and resubmits the in-flight points, and callers only
     see :class:`~repro.errors.PoolBrokenError` once the restart budget is
     exhausted. ``restarts`` / ``resubmitted`` / ``alive`` expose the
-    recovery history to ``/healthz`` and the serve bench.
+    recovery history to ``/healthz`` and the repository benchmark.
     """
 
     def __init__(

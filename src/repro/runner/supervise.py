@@ -176,7 +176,7 @@ class SupervisedPool:
     service's recovery probe calls it) grants a fresh executor.
 
     Liveness is observable: :attr:`restarts`, :attr:`resubmitted`, and
-    :attr:`alive` feed ``/healthz`` and the serve bench.
+    :attr:`alive` feed ``/healthz`` and the repository benchmark.
     """
 
     def __init__(

@@ -33,7 +33,7 @@ from typing import Any, Mapping
 
 from repro.adversary.placement import Placement
 from repro.analysis.bounds import validate_t
-from repro.errors import ConfigurationError, SpecValidationError
+from repro.errors import ConfigurationError, SpecValidationError, require_int
 from repro.network.grid import GridSpec
 from repro.scenario.registries import placements
 from repro.types import VTRUE, Coord, NodeId, Value
@@ -168,6 +168,14 @@ class ScenarioSpec:
         # runner, driver, or protocol builder would reject later is
         # validated here, so a sampled/deserialized spec is either usable
         # or loudly invalid (the fuzz sampler leans on this contract).
+        for name in ("t", "mf", "seed", "batch_per_slot"):
+            require_int(name, getattr(self, name))
+        for name in ("m", "mmax", "max_rounds"):
+            value = getattr(self, name)
+            if value is not None:
+                require_int(name, value)
+        for coordinate in self.source:
+            require_int("source", coordinate)
         validate_t(self.grid.r, self.t)
         if self.mf < 0:
             raise ConfigurationError(f"mf must be non-negative, got {self.mf}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 from typing import Iterable, TextIO
 
@@ -194,7 +195,10 @@ def parse_size(text: str) -> int:
         ) from None
     if value < 0:
         raise ConfigurationError(f"size must be >= 0, got {text!r}")
-    return int(value * _SIZE_SUFFIXES[suffix])
+    size = value * _SIZE_SUFFIXES[suffix]
+    if not math.isfinite(size):
+        raise ConfigurationError(f"size must be finite, got {text!r}")
+    return int(size)
 
 
 def cache_prune_command(

@@ -9,6 +9,8 @@ The invariant under test is the standing rule: infrastructure faults may
 cost latency (respawn, backoff, resubmission), never bytes.
 """
 
+import asyncio
+
 import pytest
 
 from repro.chaos import inject
@@ -24,6 +26,7 @@ from repro.runner.parallel import (
 from repro.scenario import preset
 from repro.scenario.runner import run_summary
 from repro.serve.service import (
+    ScenarioService,
     canonical_bytes,
     report_bytes,
     run_serve_chunk,
@@ -101,6 +104,42 @@ class TestSigkillRecovery:
                 PersistentPool.unwrap("p0", future.result())
             assert pool.alive
             assert pool.restarts == 0
+
+
+class TestServiceUnderCrash:
+    """The daemon's service over a real pool whose worker is SIGKILLed."""
+
+    specs = [spec_with_seed(seed) for seed in (30, 31, 32, 33)]
+
+    def serve_each(self, service):
+        async def scenario():
+            await service.start()
+            results = [await service.submit_spec(spec) for spec in self.specs]
+            await service.drain()
+            return results
+
+        plan = FaultPlan(seed=0, faults=(Fault(kind="worker-crash"),))
+        with inject.armed(plan):
+            results = asyncio.run(scenario())
+        goldens = [report_bytes(spec) for spec in self.specs]
+        assert [(r.status, r.body) for r in results] == [
+            (200, golden) for golden in goldens
+        ]
+
+    def test_supervised_pool_respawns_and_bytes_match(self):
+        with PersistentPool(2) as pool:
+            service = ScenarioService(pool=pool)
+            self.serve_each(service)
+            assert pool.restarts >= 1
+        assert service.stats.degraded_requests == 0
+
+    def test_pool_without_restart_budget_serves_degraded_bytes(self):
+        # A long probe interval keeps the breaker open for the whole run,
+        # so the requests after the break are served inline.
+        pool = PersistentPool(1, max_restarts=0)
+        service = ScenarioService(pool=pool, probe_interval=60.0)
+        self.serve_each(service)
+        assert service.stats.degraded_requests >= 1
 
 
 class TestSweepUnderCrash:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import ConfigurationError
 from repro.runner.parallel import (
     STALE_TMP_AGE_S,
@@ -15,6 +16,7 @@ from repro.runner.parallel import (
     scan_cache_dir,
     sweep,
 )
+from repro.serve.cli import parse_size
 
 
 @dataclass(frozen=True)
@@ -317,6 +319,11 @@ class TestPruneCacheDir:
         with pytest.raises(ConfigurationError, match="not a cache directory"):
             prune_cache_dir(tmp_path / "nope", max_bytes=0)
 
+    @pytest.mark.parametrize("max_age_s", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_age_rejected(self, tmp_path, max_age_s):
+        with pytest.raises(ConfigurationError, match="max_age_s"):
+            prune_cache_dir(tmp_path, max_age_s=max_age_s)
+
     def test_age_policy_removes_only_old_entries(self, tmp_path):
         self._fill(tmp_path, 4, mtime_start=1000.0)
         # now=1103.5: entries at 1000/1001 are older than 102s, 1002/1003 not.
@@ -392,3 +399,34 @@ class TestPruneCacheDir:
         result = sweep([1, 2, 3], double, cache=fresh)
         assert result.results == (2, 4, 6)
         assert fresh.stats.hits == 0 and fresh.stats.stores == 3
+
+
+class TestPruneCommand:
+    @pytest.mark.parametrize(
+        "text, size",
+        [("1048576", 1048576), ("500M", 500 * 2**20), ("2GB", 2 * 2**30)],
+    )
+    def test_parse_size_accepts_suffixes(self, text, size):
+        assert parse_size(text) == size
+
+    @pytest.mark.parametrize(
+        "text", ["-1", "lots", "nan", "inf", "-inf", "1e400", "1e308G"]
+    )
+    def test_parse_size_rejects_bad_sizes(self, text):
+        with pytest.raises(ConfigurationError):
+            parse_size(text)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-bytes", "nan"],
+            ["--max-bytes", "inf"],
+            ["--max-bytes", "1e400"],
+            ["--max-age", "nan"],
+            ["--max-age", "inf"],
+            ["--max-age", "1e305"],
+        ],
+    )
+    def test_non_finite_policy_exits_2(self, tmp_path, capsys, flags):
+        assert main(["cache", "prune", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -167,6 +167,18 @@ class TestJsonRoundTrip:
             {"protected": 7},
             {"protocol_params": "fast"},
             {"grid": {"width": 30}},
+            # Count fields take integers only: a bool runs like 1 but
+            # hashes differently, a float fails only mid-run.
+            {"mf": 2.5},
+            {"t": True},
+            {"batch_per_slot": True},
+            {"seed": 1.0},
+            {"m": "4"},
+            {"mmax": 2.0},
+            {"max_rounds": True},
+            {"source": [0, True]},
+            {"grid": {"width": 30.0, "height": 30, "r": 2, "torus": True}},
+            {"grid": {"width": 30, "height": 30, "r": True, "torus": True}},
         ],
     )
     def test_malformed_values_fail_with_configuration_error(self, corruption):

@@ -269,6 +269,14 @@ class TestValidation:
         assert result.status == 400
         assert json.loads(result.body)["field"] == "behavior"
 
+    def test_non_integer_count_is_400_naming_the_field(self):
+        service = make_service(chunk_runner=run_serve_chunk)
+        payload = preset("quickstart").to_dict()
+        payload["mf"] = 2.5
+        result = self.run_payload(service, json.dumps(payload))
+        assert result.status == 400
+        assert json.loads(result.body)["field"] == "mf"
+
     def test_validation_errors_burn_no_compute(self):
         computed = []
 
