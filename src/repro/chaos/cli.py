@@ -80,7 +80,6 @@ def _sweep_leg(
                     run_summary,
                     workers=workers,
                     cache=cache,
-                    chunksize=1,
                 )
                 for spec, outcome, want in zip(
                     points, result.results, goldens

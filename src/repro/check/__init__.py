@@ -24,7 +24,7 @@ RPR202   adversary class that declares no fast-path capability flag
 RPR203   registered component missing from the fuzz sampler matrix
 RPR301   module-level ``import numpy`` without an ImportError guard
 RPR401   mutable default argument
-RPR501   ``except BrokenExecutor`` outside the pool-supervision module
+RPR501   a ``BrokenExecutor`` handler outside the pool-supervision module
 ======== ====================================================================
 """
 

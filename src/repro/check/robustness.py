@@ -2,10 +2,11 @@
 
 - RPR501: pool-break recovery is centralized. ``BrokenExecutor`` (and
   its ``BrokenProcessPool`` / ``BrokenThreadPool`` subclasses) may be
-  caught *only* in :mod:`repro.runner.supervise` — the one module that
-  owns respawn, backoff, and resubmission. An ``except BrokenExecutor``
-  anywhere else either duplicates that policy (two retry layers
-  multiplying each other's budgets) or silently swallows a dead pool.
+  caught *only* in :mod:`repro.runner.supervise`, whose one
+  ``SupervisedPool`` owns respawn, backoff, and resubmission for every
+  pool user (sweeps and the serving daemon alike). A ``BrokenExecutor``
+  handler anywhere else either adds a second retry layer multiplying
+  the first one's budget or silently swallows a dead pool.
   Other modules classify with
   :func:`repro.runner.supervise.is_pool_break` on an already-caught
   exception instead of naming the type in a handler.
@@ -39,8 +40,8 @@ class BrokenExecutorHandlerRule(FileRule):
     title = "pool-break handler outside the supervision module"
     rationale = (
         "Worker-pool recovery (respawn, backoff, resubmission) lives in "
-        "repro.runner.supervise; a second 'except BrokenExecutor' layer "
-        "either duplicates the retry policy or hides a dead pool. Use "
+        "repro.runner.supervise.SupervisedPool; a second BrokenExecutor "
+        "handler either duplicates the retry policy or hides a dead pool. Use "
         "repro.runner.supervise.is_pool_break() to classify instead."
     )
 

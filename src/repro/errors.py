@@ -61,6 +61,18 @@ def require_int(field: str, value: object) -> None:
         )
 
 
+def require_bool(field: str, value: object) -> None:
+    """Reject anything but ``True``/``False`` for the flag field ``field``.
+
+    ``1`` would run exactly like ``True`` yet hash differently, and a
+    truthy string such as ``"no"`` would do the opposite of what it says.
+    """
+    if type(value) is not bool:
+        raise SpecValidationError(
+            f"{field} must be true or false, got {value!r}", field=field
+        )
+
+
 class BudgetExceededError(ReproError):
     """A node attempted to transmit beyond its message budget.
 

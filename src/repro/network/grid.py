@@ -40,7 +40,7 @@ try:  # optional accelerator; every path below has a pure-python twin
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 
-from repro.errors import ConfigurationError, require_int
+from repro.errors import ConfigurationError, require_bool, require_int
 from repro.geometry.linf import chebyshev, chebyshev_torus, linf_ball_offsets
 from repro.types import Coord, NodeId
 
@@ -101,6 +101,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         for name in ("width", "height", "r"):
             require_int(f"grid.{name}", getattr(self, name))
+        require_bool("grid.torus", self.torus)
         if self.r < 1:
             raise ConfigurationError(f"transmission radius must be >= 1, got {self.r}")
         if self.width < 1 or self.height < 1:

@@ -4,8 +4,12 @@ on-disk caching.
 This is the execution substrate behind every experiment harness: it maps
 a list of configuration points through a runner function, optionally
 fanning the points out over a ``multiprocessing`` worker pool and
-memoizing per-point results on disk. ``workers=1`` (the default) is the
-plain serial loop.
+memoizing per-point results on disk. ``workers=1`` (the default) computes
+each point in-process; ``workers>1`` submits one task per point to a
+per-call :class:`PersistentPool` — the same supervised pool the serving
+daemon keeps — and reads the futures back in point order. Either way the
+``(ok, value)`` outcomes feed one loop that caches, reports progress and
+fires callbacks.
 
 Design constraints, in order:
 
@@ -30,11 +34,11 @@ in a worker or in the serial path — surfaces as
 :class:`~repro.errors.SimulationError` naming the offending point and
 carrying the original traceback. *Infrastructure* failures (a worker
 SIGKILLed mid-point, a full disk under the cache) are a different
-species: :mod:`repro.runner.supervise` respawns broken pools and
-resubmits in-flight points (idempotent by :func:`point_key`), and cache
-stores degrade to log-and-continue — per the ROADMAP standing rule,
-infrastructure faults may cost latency, never bytes. Both recovery paths
-are exercised deterministically by :mod:`repro.chaos` through the
+species: :class:`~repro.runner.supervise.SupervisedPool` respawns broken
+pools and resubmits in-flight points (idempotent by :func:`point_key`),
+and cache stores degrade to log-and-continue — per the ROADMAP standing
+rule, infrastructure faults may cost latency, never bytes. Both recovery
+paths are exercised deterministically by :mod:`repro.chaos` through the
 injection points registered at the bottom of this module.
 """
 
@@ -49,18 +53,16 @@ import math
 import os
 import sys
 import time
-import traceback
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.chaos import inject as _chaos
 from repro.errors import ConfigurationError, PoolBrokenError, SimulationError
 from repro.runner.supervise import (
-    DEFAULT_MAX_RESTARTS,
     SupervisedPool,
     default_workers,
-    describe_worker_failure as _describe_failure,
-    supervised_map,
+    describe_worker_failure,
+    run_as_data,
 )
 from repro.sim.rng import derive_seed
 
@@ -622,10 +624,9 @@ def _report_interrupt(done: int, total: int) -> None:
 class _Invoker:
     """Picklable wrapper shipping ``run`` to spawn workers.
 
-    Exceptions are returned as data (not raised) so the parent can
-    terminate the pool and raise one coherent
-    :class:`~repro.errors.SimulationError` instead of hanging or dying on
-    an unpicklable exception object.
+    Exceptions are returned as data (:func:`run_as_data`), not raised, so
+    the parent can raise one coherent :class:`~repro.errors.SimulationError`
+    instead of hanging or dying on an unpicklable exception object.
     """
 
     def __init__(self, run: Callable[[Any], Any]) -> None:
@@ -646,51 +647,36 @@ class _Invoker:
                 keys.extend(point_key(item) for item in point)
             _chaos.install_worker_faults(self.faults)
             _chaos.fire_worker_faults(keys)
-        try:
-            return True, self.run(point)
-        except Exception as exc:
-            # Not BaseException: a KeyboardInterrupt must kill the worker
-            # (surfacing as BrokenExecutor) rather than masquerade as a
-            # simulation failure on whatever point was in flight.
-            return False, (
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-            )
+        return run_as_data(self.run, point)
 
 
 class PersistentPool(SupervisedPool):
-    """A long-lived spawn-safe worker pool for request-serving workloads.
+    """A supervised spawn pool shipping ``run`` to workers via :class:`_Invoker`.
 
-    :func:`sweep` builds and tears down an executor per call — right for
-    batch experiments, wrong for a daemon: every request batch would pay
-    a full interpreter + import spawn. A ``PersistentPool`` keeps its
-    spawn workers alive across submissions, so each worker's module
-    state — notably the :class:`ProcessLocalCache` warm worlds the
-    scenario runner keeps — persists from one chunk to the next, and a
-    request to a grid any worker has seen skips world construction
-    entirely. ``repro.serve`` dispatches its batched compute chunks here.
+    Its spawn workers stay alive across submissions, so each worker's
+    module state — notably the :class:`ProcessLocalCache` warm worlds the
+    scenario runner keeps — persists from one task to the next, and a
+    point on a grid that worker has seen skips world construction.
+    ``repro.serve`` keeps one for the daemon's lifetime and dispatches its
+    batched compute chunks here; a parallel :func:`sweep` builds one per
+    call and submits one task per pending point.
 
-    Results use the same exception-as-data protocol as sweep workers
-    (:class:`_Invoker`): :meth:`submit` returns a
-    ``concurrent.futures.Future`` resolving to ``(ok, value)``, where a
-    falsy ``ok`` carries ``(exc_type, message, traceback)``.
-    :meth:`unwrap` converts that triple into the
-    :class:`~repro.errors.SimulationError` a sweep would raise.
-
-    The pool is supervised (:class:`~repro.runner.supervise.SupervisedPool`):
-    a dead worker breaks the executor, the supervisor respawns it with
-    capped backoff and resubmits the in-flight points, and callers only
-    see :class:`~repro.errors.PoolBrokenError` once the restart budget is
-    exhausted. ``restarts`` / ``resubmitted`` / ``alive`` expose the
-    recovery history to ``/healthz`` and the repository benchmark.
+    :meth:`submit` returns a ``concurrent.futures.Future`` resolving to
+    :func:`run_as_data`'s ``(ok, value)``, and :meth:`unwrap` turns a
+    failure into the :class:`~repro.errors.SimulationError` a sweep
+    raises. Recovery — respawn with capped backoff, resubmission of the
+    in-flight points, :class:`~repro.errors.PoolBrokenError` once the
+    restart budget is spent — is the supervisor's
+    (:class:`~repro.runner.supervise.SupervisedPool`); ``restarts`` /
+    ``resubmitted`` / ``alive`` feed ``/healthz`` and the repository
+    benchmark.
     """
 
     def __init__(
         self,
         workers: int | None = None,
         *,
-        max_restarts: int = DEFAULT_MAX_RESTARTS,
+        max_restarts: int | None = None,
     ) -> None:
         super().__init__(workers, invoker=_Invoker, max_restarts=max_restarts)
 
@@ -722,22 +708,22 @@ def sweep(
     workers: int | None = 1,
     cache: ResultCache | None = None,
     on_result: Callable[[PointT, ResultT], None] | None = None,
-    chunksize: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> SweepResult:
     """Run ``run`` over every point and collect results in point order.
 
-    ``workers=1`` (the default) is a serial loop; ``workers>1`` fans the
-    uncached points out over a spawn-safe ``multiprocessing`` pool in
-    chunks, preserving point order in the returned
-    :class:`SweepResult`. ``workers=0`` or ``None``
-    picks :func:`default_workers`.
+    ``workers=1`` (the default) computes in-process; ``workers>1`` submits
+    each uncached point as one task to a spawn-safe :class:`PersistentPool`
+    built for this call, preserving point order in the returned
+    :class:`SweepResult`. ``workers=0`` or ``None`` picks
+    :func:`default_workers`.
 
     ``cache`` short-circuits points whose results are already on disk and
-    stores fresh results as they arrive. ``on_result`` is always invoked
-    in point order — under parallelism a finished point's callback waits
-    until every earlier point has a result. ``progress`` is called as
-    ``progress(done, total)`` after each completed point.
+    stores fresh results as they are consumed in point order.
+    ``on_result`` is always invoked in point order — under parallelism a
+    finished point waits until every earlier point has a result.
+    ``progress`` is called as ``progress(done, total)`` after each
+    completed point.
 
     Any exception from ``run`` is re-raised as
     :class:`~repro.errors.SimulationError` naming the point.
@@ -772,82 +758,47 @@ def sweep(
                 on_result(point_list[cursor], results[cursor])
             cursor += 1
 
-    if progress is not None:
-        # Initial call (possibly done=0) marks the start of this sweep so
-        # reusable progress printers can re-anchor their clocks.
-        try:
-            progress(done_count, total)
-        except KeyboardInterrupt:
-            _report_interrupt(done_count, total)
-            raise
-
-    if workers == 1 or len(pending) <= 1:
-        try:
-            for index in pending:
-                point = point_list[index]
-                try:
-                    value = run(point)
-                except Exception as exc:
-                    raise SimulationError(
-                        _describe_failure(
-                            point, type(exc).__name__, str(exc),
-                            traceback.format_exc(),
-                        )
-                    ) from exc
-                results[index] = value
-                if cache is not None:
-                    _store_result(cache, point, value)
-                done_count += 1
-                flush()
-                if progress is not None:
-                    progress(done_count, total)
-        except KeyboardInterrupt:
-            _report_interrupt(done_count, total)
-            raise
-        flush()
-        return SweepResult(tuple(point_list), tuple(results))
-
-    # The simulations are CPU-bound: worker processes beyond the core
-    # count buy nothing and each costs a full interpreter + import on
-    # spawn, so an explicit --workers N is capped to the machine (the
-    # same bound workers=0 resolves to). The pool is kept even at one
-    # process so spawn-safety is exercised identically everywhere.
-    pool_workers = max(1, min(workers, len(pending), default_workers()))
-    if chunksize is None:
-        chunksize = max(1, len(pending) // (pool_workers * 4))
-    outcomes = supervised_map(
-        _Invoker,
-        run,
-        [point_list[index] for index in pending],
-        workers=pool_workers,
-        chunksize=chunksize,
-    )
+    pool: PersistentPool | None = None
     try:
+        if progress is not None:
+            # Initial call (possibly done=0) marks the start of this sweep
+            # so reusable progress printers can re-anchor their clocks.
+            progress(done_count, total)
+        if workers == 1 or len(pending) <= 1:
+            outcomes: Iterable[tuple[bool, Any]] = (
+                run_as_data(run, point_list[index]) for index in pending
+            )
+        else:
+            # The pool caps its size at the core count: the simulations
+            # are CPU-bound and each extra worker costs a full interpreter
+            # + import on spawn. It is kept even at one process so
+            # spawn-safety is exercised identically everywhere.
+            pool = PersistentPool(min(workers, len(pending)))
+            futures = [pool.submit(run, point_list[i]) for i in pending]
+            outcomes = (future.result() for future in futures)
         for index, (ok, value) in zip(pending, outcomes):
+            point = point_list[index]
             if not ok:
-                raise SimulationError(
-                    _describe_failure(point_list[index], *value)
-                )
+                raise SimulationError(describe_worker_failure(point, *value))
             results[index] = value
             if cache is not None:
-                _store_result(cache, point_list[index], value)
+                _store_result(cache, point, value)
             done_count += 1
             flush()
             if progress is not None:
                 progress(done_count, total)
     except KeyboardInterrupt:
-        # Ctrl-C/SIGTERM mid-sweep: cancel what hasn't started (closing
-        # the supervised map below), report progress cleanly, and let
-        # the interrupt propagate — instead of the executor's noisy
-        # unwind.
+        # Ctrl-C/SIGTERM mid-sweep: cancel what hasn't started (the pool
+        # shutdown below), report progress cleanly, and let the interrupt
+        # propagate — instead of the executor's noisy unwind.
         _report_interrupt(done_count, total)
         raise
     except PoolBrokenError as exc:
         # Supervision respawned and resubmitted up to its restart budget
         # and the pool stayed broken. Flush the in-order callbacks for
         # everything that did complete — each of those points was cached
-        # as it arrived, so a re-run resumes — then surface one coherent
-        # error carrying the progress counters.
+        # as it was consumed, so a re-run resumes — then surface one
+        # coherent error carrying the progress counters.
         flush()
         raise PoolBrokenError(
             f"{exc} [{done_count}/{total} points completed and cached; "
@@ -857,7 +808,8 @@ def sweep(
             restarts=exc.restarts,
         ) from exc
     finally:
-        outcomes.close()
+        if pool is not None:
+            pool.shutdown(wait=False)
     flush()
     return SweepResult(tuple(point_list), tuple(results))
 

@@ -2,11 +2,12 @@
 
 This is the **only** module in the tree allowed to name
 ``concurrent.futures.BrokenExecutor`` in an ``except`` clause — rule
-RPR501 of ``python -m repro check`` enforces it. Everything else routes
-pool work through :func:`supervised_map` / :class:`SupervisedPool` and
+RPR501 of ``python -m repro check`` enforces it. All pool work — the
+serving daemon's batches and every parallel :func:`repro.runner.sweep`
+— goes through one :class:`SupervisedPool`, and everything else
 classifies failures with :func:`is_pool_break`, so recovery policy
 (capped exponential backoff, restart counters, chaos-fault spending,
-completed-point accounting) lives in exactly one place.
+the give-up rule) lives in exactly one class.
 
 The contract recovery must honor is the ROADMAP standing rule:
 *infrastructure faults may cost latency, never bytes*. Pool breaks are
@@ -14,8 +15,8 @@ infrastructure — a SIGKILLed worker, an OOM kill, an unimportable spawn —
 and are retried by resubmitting the in-flight points, which is safe
 because points are idempotent by content hash
 (:func:`repro.runner.parallel.point_key`). Simulation exceptions travel
-as data through the invoker protocol ``(ok, value)`` and are **never**
-retried: a deterministic failure is a result, not a fault.
+as data through :func:`run_as_data`'s ``(ok, value)`` protocol and are
+**never** retried: a deterministic failure is a result, not a fault.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import multiprocessing
 import os
 import threading
 import time
+import traceback
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable
 
 from repro.chaos import inject as _chaos
 from repro.errors import ConfigurationError, PoolBrokenError, SimulationError
@@ -73,80 +75,22 @@ def describe_worker_failure(
     )
 
 
-def supervised_map(
-    invoker_factory: Callable[[Callable[[Any], Any]], Callable[[Any], Any]],
-    run: Callable[[Any], Any],
-    points: Sequence[Any],
-    *,
-    workers: int,
-    chunksize: int,
-    max_restarts: int | None = None,
-) -> Iterator[Any]:
-    """Yield invoker outcomes for ``points`` in order, surviving breaks.
+def run_as_data(run: Callable[[Any], Any], point: Any) -> tuple[bool, Any]:
+    """Call ``run(point)``, returning exceptions as data, not raising them.
 
-    The streaming analogue of ``executor.map``: on a pool break the dead
-    executor is replaced (after :func:`backoff_delay`) and the *unconsumed*
-    suffix of points is resubmitted through a fresh invoker — fresh so a
-    chaos fault spent by :func:`repro.chaos.inject.on_pool_break` is no
-    longer shipped to the replacement workers. Consumed outcomes are never
-    re-run (the caller has already cached them); progress resets the
-    backoff counter, and ``max_restarts`` consecutive no-progress breaks
-    raise :class:`~repro.errors.PoolBrokenError` carrying completed/total.
+    ``(True, value)`` on success; ``(False, (exc_type, message,
+    traceback))`` when ``run`` raised. The triple is plain strings, so it
+    crosses a process boundary even when the exception object would not
+    pickle, and :meth:`SupervisedPool.unwrap` turns it into the
+    :class:`~repro.errors.SimulationError` callers see.
     """
-    point_list = list(points)
-    total = len(point_list)
-    if max_restarts is None:
-        max_restarts = DEFAULT_MAX_RESTARTS
-    context = multiprocessing.get_context("spawn")
-    position = 0
-    consecutive = 0
-    while position < total:
-        executor = ProcessPoolExecutor(
-            max_workers=max(1, min(workers, total - position)),
-            mp_context=context,
-        )
-        try:
-            outcomes = executor.map(
-                invoker_factory(run),
-                point_list[position:],
-                chunksize=chunksize,
-            )
-            for outcome in outcomes:
-                position += 1
-                consecutive = 0
-                yield outcome
-        except BrokenExecutor as exc:
-            # Workers died before/while running (an unimportable main
-            # module under spawn, an OOM/SIGKILL). Respawn and resubmit
-            # the unconsumed suffix instead of aborting the sweep — or,
-            # after max_restarts consecutive no-progress breaks, surface
-            # one coherent infrastructure error.
-            consecutive += 1
-            if consecutive > max_restarts:
-                raise PoolBrokenError(
-                    f"parallel sweep worker pool broke ({exc}) and stayed "
-                    f"broken after {consecutive - 1} respawns; points must "
-                    "be picklable and the run function importable by "
-                    "spawned workers",
-                    completed=position,
-                    total=total,
-                    restarts=consecutive - 1,
-                ) from exc
-            _chaos.on_pool_break()
-            delay = backoff_delay(consecutive)
-            _LOG.warning(
-                "sweep worker pool broke (%s); respawning in %.2fs "
-                "(attempt %d/%d, %d/%d points done)",
-                exc,
-                delay,
-                consecutive,
-                max_restarts,
-                position,
-                total,
-            )
-            time.sleep(delay)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+    try:
+        return True, run(point)
+    except Exception as exc:
+        # Not BaseException: a KeyboardInterrupt must kill a worker
+        # (surfacing as a pool break) rather than masquerade as a
+        # simulation failure on whatever point was in flight.
+        return False, (type(exc).__name__, str(exc), traceback.format_exc())
 
 
 class _Task:
@@ -162,7 +106,7 @@ class _Task:
 
 
 class SupervisedPool:
-    """A long-lived, self-healing spawn pool.
+    """A self-healing spawn pool.
 
     Wraps one ``ProcessPoolExecutor`` and decouples caller futures from
     executor futures: :meth:`submit` returns an *outer* future that
@@ -170,7 +114,8 @@ class SupervisedPool:
     requeued and a single supervisor thread respawns the executor (capped
     exponential backoff) and resubmits them through a fresh invoker —
     safe because points are idempotent by content hash. After
-    ``max_restarts`` consecutive no-progress breaks the pool is declared
+    ``max_restarts`` consecutive no-progress breaks (default
+    :data:`DEFAULT_MAX_RESTARTS`, read at construction) the pool is declared
     dead: queued tasks fail with :class:`~repro.errors.PoolBrokenError`
     and further submits raise it too, until :meth:`revive` (the scenario
     service's recovery probe calls it) grants a fresh executor.
@@ -184,7 +129,7 @@ class SupervisedPool:
         workers: int | None = None,
         *,
         invoker: Callable[[Callable[[Any], Any]], Callable[[Any], Any]],
-        max_restarts: int = DEFAULT_MAX_RESTARTS,
+        max_restarts: int | None = None,
     ) -> None:
         if workers is None or workers == 0:
             workers = default_workers()
@@ -197,7 +142,9 @@ class SupervisedPool:
         self.restarts = 0
         self.resubmitted = 0
         self._invoker = invoker
-        self._max_restarts = max_restarts
+        self._max_restarts = (
+            DEFAULT_MAX_RESTARTS if max_restarts is None else max_restarts
+        )
         self._lock = threading.RLock()
         self._consecutive = 0
         self._closed = False

@@ -54,7 +54,7 @@ class Registry(Generic[EntryT]):
         """
         try:
             return self._entries[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             known = ", ".join(sorted(self._entries)) or "(none)"
             close = difflib.get_close_matches(
                 str(name), sorted(self._entries), n=3

@@ -20,7 +20,7 @@ from typing import Callable
 import repro.radio.mac as mac
 import repro.radio.medium as medium_mod
 from repro.analysis.verify import collect_costs, collect_outcome
-from repro.errors import ConfigurationError
+from repro.errors import SpecValidationError, require_int
 from repro.network.grid import Grid
 from repro.network.node import NodeTable
 from repro.protocols import flat, vectorized
@@ -100,6 +100,26 @@ def _table_for(spec: ScenarioSpec, grid: Grid, source: NodeId) -> NodeTable:
     return _TABLES.get_or_build(key, build)
 
 
+def _check_protected(spec: ScenarioSpec, grid: Grid) -> None:
+    """Reject protected ids that are not node ids of ``grid``.
+
+    Checked where the grid is known rather than in ``from_dict``: an id
+    past the end would wrap (``-1`` aliasing the last node under another
+    content hash) or index out of range mid-run.
+    """
+    if spec.protected is None:
+        return
+    for nid in spec.protected:
+        require_int("protected", nid)
+    out_of_range = [nid for nid in spec.protected if not 0 <= nid < grid.n]
+    if out_of_range:
+        raise SpecValidationError(
+            f"protected ids outside the grid [0, {grid.n}): "
+            f"{out_of_range[:5]}",
+            field="protected",
+        )
+
+
 def validate(spec: ScenarioSpec) -> Grid:
     """Check a spec is runnable without running it; return its grid.
 
@@ -116,12 +136,7 @@ def validate(spec: ScenarioSpec) -> Grid:
     grid, _schedule, _medium = _world_for(spec)
     source = grid.id_of(spec.source)
     BroadcastParams(r=spec.grid.r, t=spec.t, mf=spec.mf, vtrue=spec.vtrue)
-    if spec.protected is not None:
-        out_of_range = [nid for nid in spec.protected if not 0 <= nid < grid.n]
-        if out_of_range:
-            raise ConfigurationError(
-                f"protected ids outside the grid: {out_of_range[:5]}"
-            )
+    _check_protected(spec, grid)
     _table_for(spec, grid, source)
     return grid
 
@@ -142,6 +157,7 @@ def run(
     """
     protocol = protocols.get(spec.protocol)
     grid, schedule, medium = _world_for(spec)
+    _check_protected(spec, grid)
     source = grid.id_of(spec.source)
     table = _table_for(spec, grid, source)
     params = BroadcastParams(r=spec.grid.r, t=spec.t, mf=spec.mf, vtrue=spec.vtrue)

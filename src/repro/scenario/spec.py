@@ -33,7 +33,12 @@ from typing import Any, Mapping
 
 from repro.adversary.placement import Placement
 from repro.analysis.bounds import validate_t
-from repro.errors import ConfigurationError, SpecValidationError, require_int
+from repro.errors import (
+    ConfigurationError,
+    SpecValidationError,
+    require_bool,
+    require_int,
+)
 from repro.network.grid import GridSpec
 from repro.scenario.registries import placements
 from repro.types import VTRUE, Coord, NodeId, Value
@@ -168,8 +173,9 @@ class ScenarioSpec:
         # runner, driver, or protocol builder would reject later is
         # validated here, so a sampled/deserialized spec is either usable
         # or loudly invalid (the fuzz sampler leans on this contract).
-        for name in ("t", "mf", "seed", "batch_per_slot"):
+        for name in ("t", "mf", "seed", "batch_per_slot", "vtrue"):
             require_int(name, getattr(self, name))
+        require_bool("validate_local_bound", self.validate_local_bound)
         for name in ("m", "mmax", "max_rounds"):
             value = getattr(self, name)
             if value is not None:

@@ -62,7 +62,6 @@ import asyncio
 import json
 import logging
 import time
-import traceback
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field
@@ -75,7 +74,7 @@ from repro.runner.parallel import (
     decode_result,
     encode_result,
 )
-from repro.runner.supervise import is_pool_break
+from repro.runner.supervise import is_pool_break, run_as_data
 from repro.scenario.registries import behaviors, protocols
 from repro.scenario.runner import ScenarioOutcome, run_summary
 from repro.scenario.spec import ScenarioSpec
@@ -204,12 +203,7 @@ class InlinePool:
         self, run: Callable[[Any], Any], point: Any
     ) -> "Future[tuple[bool, Any]]":
         future: "Future[tuple[bool, Any]]" = Future()
-        try:
-            future.set_result((True, run(point)))
-        except Exception as exc:
-            future.set_result(
-                (False, (type(exc).__name__, str(exc), traceback.format_exc()))
-            )
+        future.set_result(run_as_data(run, point))
         return future
 
     unwrap = staticmethod(PersistentPool.unwrap)
@@ -449,7 +443,8 @@ class ScenarioService:
         if isinstance(raw, (bytes, str)):
             try:
                 payload = json.loads(raw)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: nesting deeper than the parser's stack.
                 self.stats.errors += 1
                 return ServeResult(
                     400, error_bytes(f"request body is not valid JSON: {exc}")

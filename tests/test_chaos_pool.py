@@ -148,7 +148,7 @@ class TestSweepUnderCrash:
         goldens = [serialize_outcome(run_summary(spec)) for spec in specs]
         plan = FaultPlan(faults=(Fault(kind="worker-crash"),))
         with inject.armed(plan):
-            result = sweep(list(specs), run_summary, workers=2, chunksize=1)
+            result = sweep(list(specs), run_summary, workers=2)
         assert [
             serialize_outcome(outcome) for outcome in result.results
         ] == goldens
@@ -174,7 +174,6 @@ class TestSweepUnderCrash:
                     list(specs),
                     run_summary,
                     workers=2,
-                    chunksize=1,
                     cache=cache,
                 )
         assert err.value.completed == 2
@@ -184,7 +183,7 @@ class TestSweepUnderCrash:
         # Disarmed re-run resumes from the cache and finishes the sweep
         # with the fault-free bytes.
         result = sweep(
-            list(specs), run_summary, workers=2, chunksize=1, cache=cache
+            list(specs), run_summary, workers=2, cache=cache
         )
         assert [
             serialize_outcome(outcome) for outcome in result.results

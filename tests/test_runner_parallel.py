@@ -5,6 +5,7 @@ pickles them by reference; the points are primitives or frozen
 dataclasses for the same reason.
 """
 
+import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -96,10 +97,6 @@ class TestParallelSweep:
     def test_worker_exception_surfaces_not_hangs(self):
         with pytest.raises(SimulationError, match="bad point 2"):
             sweep([1, 2, 3, 4], raising, workers=3)
-
-    def test_chunksize_respected(self):
-        result = sweep(list(range(7)), square, workers=2, chunksize=3)
-        assert result.results == (0, 1, 4, 9, 16, 25, 36)
 
     def test_progress_reports_every_point(self):
         calls = []
@@ -212,6 +209,19 @@ class TestInterruptedSweep:
             )
         err = capsys.readouterr().err
         assert "sweep interrupted: 2/4 points completed" in err
+
+    def test_parallel_interrupt_leaves_no_live_workers(self):
+        with pytest.raises(KeyboardInterrupt):
+            sweep(
+                [0, 1, 2, 3, 4, 5],
+                slow_inverse,
+                workers=2,
+                progress=self._interrupt_at(1),
+            )
+        deadline = time.monotonic() + 5.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
     def test_interrupt_before_first_point(self, capsys):
         with pytest.raises(KeyboardInterrupt):

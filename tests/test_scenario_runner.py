@@ -15,6 +15,7 @@ from repro.scenario import (
     run,
     run_summary,
 )
+from repro.scenario.runner import validate
 
 
 def _threshold_spec(**overrides) -> ScenarioSpec:
@@ -91,6 +92,25 @@ class TestBehaviorResolution:
         with pytest.raises(ConfigurationError, match="mmax"):
             run(spec)
         assert run(spec.replace(mmax=10**6)).success
+
+
+class TestProtectedIds:
+    """validate() and run() refuse the same protected ids, by field."""
+
+    @pytest.mark.parametrize(
+        "protected", [("a", "b", "c"), (1.5,), (True,), (-1,), (900 + 5,)]
+    )
+    def test_bad_ids_rejected_before_running(self, protected):
+        spec = _threshold_spec(protected=protected)
+        for entry_point in (validate, run):
+            with pytest.raises(ConfigurationError, match="protected") as err:
+                entry_point(spec)
+            assert err.value.field == "protected"
+
+    def test_in_grid_ids_still_run(self):
+        spec = _threshold_spec(protected=(0, 899))
+        assert validate(spec).n == 900
+        run(spec)
 
 
 class TestScenarioSweep:

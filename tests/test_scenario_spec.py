@@ -179,6 +179,12 @@ class TestJsonRoundTrip:
             {"source": [0, True]},
             {"grid": {"width": 30.0, "height": 30, "r": 2, "torus": True}},
             {"grid": {"width": 30, "height": 30, "r": True, "torus": True}},
+            {"vtrue": [1]},
+            {"vtrue": True},
+            # Flags take bools only: 1 runs like true but hashes
+            # differently, and a truthy "no" means the opposite.
+            {"grid": {"width": 30, "height": 30, "r": 2, "torus": 1}},
+            {"validate_local_bound": "no"},
         ],
     )
     def test_malformed_values_fail_with_configuration_error(self, corruption):

@@ -130,6 +130,21 @@ class TestRoutes:
         assert decoded["field"] == "protocl"
         assert "protocol" in decoded["suggestions"]
 
+    def test_deeply_nested_body_is_400_and_daemon_keeps_serving(self):
+        nested = b"[" * 50000 + b"]" * 50000
+        valid = preset("quickstart").to_json(indent=None).encode()
+
+        async def client(port):
+            bad = await request(port, "POST", "/run", nested)
+            good = await request(port, "POST", "/run", valid)
+            return bad, good
+
+        (bad, good), _ = with_daemon(make_service(), client)
+        assert bad[0] == 400
+        assert "error" in json.loads(bad[2])
+        assert good[0] == 200
+        assert good[2] == report_bytes(preset("quickstart"))
+
     def test_introspection_routes(self):
         async def client(port):
             return {

@@ -277,6 +277,37 @@ class TestValidation:
         assert result.status == 400
         assert json.loads(result.body)["field"] == "mf"
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"protocol": [1]}, "protocol"),
+            ({"behavior": [1]}, "behavior"),
+            ({"vtrue": [1]}, "vtrue"),
+            ({"protected": "abc"}, "protected"),
+            ({"protected": [1.5]}, "protected"),
+            ({"protected": [-1]}, "protected"),
+            ({"protected": [900 + 5]}, "protected"),
+            ({"validate_local_bound": "no"}, "validate_local_bound"),
+            ({"grid": {"width": 30, "height": 30, "r": 2, "torus": 1}}, "grid.torus"),
+        ],
+    )
+    def test_hostile_values_are_400_naming_the_field(self, changes, field):
+        # Protected ids are range-checked where the grid is built, in
+        # the worker; the rest fail at the front door.
+        service = make_service(chunk_runner=run_serve_chunk)
+        payload = preset("theorem2").to_dict()
+        assert payload["grid"]["width"] * payload["grid"]["height"] == 900
+        payload.update(changes)
+        result = self.run_payload(service, json.dumps(payload))
+        assert result.status == 400
+        assert json.loads(result.body)["field"] == field
+
+    def test_deeply_nested_body_is_400(self):
+        service = make_service()
+        result = self.run_payload(service, b"[" * 50000 + b"]" * 50000)
+        assert result.status == 400
+        assert "recursion" in json.loads(result.body)["error"]
+
     def test_validation_errors_burn_no_compute(self):
         computed = []
 
