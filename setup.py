@@ -2,8 +2,9 @@
 
 The offline environment lacks the ``wheel`` package, so PEP 660 editable
 installs (which must build a wheel) fail; this shim lets
-``pip install -e .`` fall back to ``setup.py develop``. All metadata lives
-in pyproject.toml.
+``pip install -e .`` fall back to ``setup.py develop``. The repository has
+no pyproject.toml: the metadata below is all there is, and ``version`` must
+match ``repro._version.__version__``.
 """
 
 from setuptools import find_packages, setup

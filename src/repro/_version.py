@@ -1,3 +1,3 @@
-"""Package version, kept in sync with pyproject.toml."""
+"""Package version, kept in sync with the ``version`` in setup.py."""
 
 __version__ = "1.0.0"

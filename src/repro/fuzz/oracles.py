@@ -253,7 +253,8 @@ def _check_decision_consistency(ctx: OracleContext) -> str | None:
 @invariant(
     "delivery-batch-immutable",
     description="memoized DeliveryBatch objects still satisfy their own "
-    "corrupted_count (a consumer mutating resolver output corrupts the memo)",
+    "corrupted_count and stay strictly increasing by receiver (a consumer "
+    "mutating resolver output corrupts the memo)",
 )
 def _check_batch_immutability(ctx: OracleContext) -> str | None:
     medium = ctx.medium
@@ -273,4 +274,12 @@ def _check_batch_immutability(ctx: OracleContext) -> str | None:
                 f"{batch.corrupted_count} but holds {recount} corrupted "
                 "deliveries — resolver output was mutated"
             )
+        # The row merge sorts concatenated per-sender rows and relies on
+        # one delivery per receiver, in ascending receiver order.
+        for prev, nxt in zip(batch, batch[1:]):
+            if prev.receiver >= nxt.receiver:
+                return (
+                    f"a memoized batch is not strictly increasing by "
+                    f"receiver ({prev.receiver} then {nxt.receiver})"
+                )
     return None

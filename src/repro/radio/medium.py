@@ -27,13 +27,22 @@ churn:
   and copied into a fresh list on every hit. Steady-state traffic is
   extremely repetitive (E2's source repeats one slot 2001 times against
   the same planned jams), so the memo carries the bulk of a run;
-- memo misses with a single transmission reduce to one pass over the
-  sender's sorted neighbors (no collision is possible);
-- multi-transmission misses run over dense id-indexed scratch buffers
-  (a ``bytearray`` heard-count, a ``bytearray`` transmitting mask, the
+- every transmission has a cached *row*: the tuple of verbatim
+  deliveries to the sender's sorted neighbors, keyed by the (frozen)
+  transmission itself and kept, bounded, on the medium so warm media
+  reuse rows across the runs of one grid. A lone transmission's batch
+  (honest or Byzantine: a lone lie is heard verbatim) is its row. A
+  miss with only honest transmissions — the TDMA schedule keeps them
+  collision-free — concatenates its senders' rows and sorts them by
+  receiver (timsort merges the pre-sorted runs), after checking that
+  no receiver is heard twice and none is itself a sender;
+- misses with Byzantine transmissions, and honest slots that fail
+  those checks, run over dense id-indexed scratch buffers (a
+  ``bytearray`` heard-count, a ``bytearray`` transmitting mask, the
   controlling Byzantine sender per receiver, and a touched-receiver
   scratch list), iterating :meth:`~repro.network.grid.Grid.neighbors_sorted`
-  so deliveries come out already ordered by receiver.
+  so deliveries come out already ordered by receiver. That path
+  applies the half-duplex rule and raises on honest collisions.
 
 The historical dict-based implementation is preserved as
 ``resolve_slot_reference``; the determinism suite asserts both produce
@@ -62,6 +71,7 @@ Both paths enforce the same rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import ConfigurationError, ScheduleConflictError
 from repro.network.grid import Grid
@@ -81,6 +91,11 @@ _SLOT_MEMO_LIMIT = 2048
 #: Whole-round memo bound (each entry holds one round's batch tuple).
 _ROUND_MEMO_LIMIT = 512
 
+#: Delivery-row cache bound (one row per distinct transmission, dropped
+#: wholesale when full). Runs of the bundled presets' grids use at most
+#: about one row per node (figure2's 1,296-node grid: ~1,300 rows).
+_ROW_CACHE_LIMIT = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class Delivery:
@@ -97,6 +112,9 @@ class Delivery:
     value: Value
     kind: MessageKind
     corrupted: bool = False
+
+
+_by_receiver = attrgetter("receiver")
 
 
 class BatchPlanCache:
@@ -198,9 +216,9 @@ class Medium:
     def __init__(self, grid: Grid, *, fast: bool | None = None) -> None:
         self.grid = grid
         self.fast = DEFAULT_FAST if fast is None else fast
-        # Reusable flat scratch (multi-transmission slots), allocated on
-        # the first multi-transmission slot: vectorized-kernel runs (and
-        # single-transmission workloads) never resolve one, and five
+        # Reusable flat scratch (``_resolve_flat``), allocated on the
+        # first slot the row merge cannot take: vectorized-kernel runs
+        # (and honest-only workloads) never resolve one, and five
         # O(n) buffers are real money on a 10^6-node grid. All buffers
         # are restored to their idle state after every call — including
         # on the ScheduleConflictError path — via the touched list.
@@ -216,6 +234,13 @@ class Medium:
         # input, including list order (which breaks equal-id Byzantine
         # ties). Hits return the cached batch itself (no copy).
         self._slot_memo: dict[tuple, DeliveryBatch] = {}
+        # transmission -> (receivers, deliveries): the verbatim delivery
+        # row of a transmission heard without collision, receivers
+        # ascending. Batches share these Delivery objects.
+        self._rows: dict[
+            Transmission | BadTransmission,
+            tuple[tuple[NodeId, ...], tuple[Delivery, ...]],
+        ] = {}
         # Whole-round memo: round signature -> whatever the driver stored
         # (a tuple of per-slot sender specs and batch tuples). Owned here
         # so warm Medium instances carry it across runs of one grid.
@@ -241,16 +266,12 @@ class Medium:
         cached = self._slot_memo.get(key)
         if cached is not None:
             return cached
-        if len(honest) + len(byzantine) == 1:
-            # A lone transmission: no collision is possible anywhere, so
-            # every neighbor hears it verbatim (a lone Byzantine message
-            # is a plain lie — spoof_sender only acts at collisions).
-            tx = honest[0] if honest else byzantine[0]
-            batch = DeliveryBatch(
-                Delivery(receiver, tx.sender, tx.value, tx.kind, False)
-                for receiver in self.grid.neighbors_sorted(tx.sender)
-            )
-        else:
+        batch = None
+        if not byzantine or (not honest and len(byzantine) == 1):
+            # A lone Byzantine message is a plain lie: spoof_sender only
+            # acts at collisions.
+            batch = self._merge_rows(honest or byzantine)
+        if batch is None:
             batch = self._resolve_flat(honest, byzantine)
         if len(self._slot_memo) >= _SLOT_MEMO_LIMIT:
             self._slot_memo.clear()
@@ -270,6 +291,45 @@ class Medium:
         self._round_memo[signature] = value
 
     # -- fast path ---------------------------------------------------------
+
+    def _row(
+        self, tx: Transmission | BadTransmission
+    ) -> tuple[tuple[NodeId, ...], tuple[Delivery, ...]]:
+        row = self._rows.get(tx)
+        if row is None:
+            receivers = self.grid.neighbors_sorted(tx.sender)
+            row = (
+                receivers,
+                tuple(
+                    Delivery(receiver, tx.sender, tx.value, tx.kind, False)
+                    for receiver in receivers
+                ),
+            )
+            if len(self._rows) >= _ROW_CACHE_LIMIT:
+                self._rows.clear()
+            self._rows[tx] = row
+        return row
+
+    def _merge_rows(
+        self, txs: list[Transmission] | list[BadTransmission]
+    ) -> DeliveryBatch | None:
+        """The batch of a slot whose receivers each hear one transmission.
+
+        Returns ``None`` when some receiver is in range of two senders or
+        is itself a sender; ``_resolve_flat`` owns those cases.
+        """
+        if len(txs) == 1:
+            return DeliveryBatch(self._row(txs[0])[1])
+        batch = DeliveryBatch()
+        heard: set[NodeId] = set()
+        for tx in txs:
+            receivers, row = self._row(tx)
+            heard.update(receivers)
+            batch.extend(row)
+        if len(heard) != len(batch) or any(tx.sender in heard for tx in txs):
+            return None
+        batch.sort(key=_by_receiver)
+        return batch
 
     def _ensure_scratch(self) -> None:
         n = self.grid.n
@@ -462,6 +522,6 @@ _seams.register(
         reference="repro.radio.medium.Medium.resolve_slot_reference",
         differential_test="tests/test_radio_medium.py",
         fuzz_leg="fast",
-        description="CSR flat-buffer slot resolution vs the dict reference",
+        description="row-merge and flat-buffer slot resolution vs the dict reference",
     )
 )

@@ -59,8 +59,9 @@ class TdmaSchedule:
     def verify_collision_free(self) -> None:
         """Check no two same-slot nodes share a neighbor (O(n * (4r+1)^2)).
 
-        Raises :class:`ScheduleConflictError` on violation. Used by tests
-        and by :class:`~repro.radio.mac.RoundDriver` in paranoid mode.
+        Raises :class:`ScheduleConflictError` on violation. Used by tests;
+        at run time the medium raises the same error when two honest
+        transmissions actually collide.
         """
         grid = self.grid
         interference = 2 * grid.r  # senders share a receiver iff within 2r

@@ -34,7 +34,9 @@ from repro.fuzz import (
 from repro.fuzz.cli import fuzz_run_command
 from repro.fuzz.oracles import OracleContext, invariants
 from repro.fuzz.runner import _run_mode
-from repro.network.grid import GridSpec
+from repro.network.grid import Grid, GridSpec
+from repro.radio.medium import Medium
+from repro.radio.messages import Transmission
 from repro.scenario import ScenarioSpec, validate
 from repro.scenario.registries import BehaviorEntry, behaviors
 from repro.__main__ import main as repro_main
@@ -113,6 +115,27 @@ class TestOracles:
         report, medium = _run_mode(spec, fast=True)
         ctx = OracleContext(spec=spec, report=report, medium=medium)
         assert check_invariants(ctx) == []
+
+    def test_mutated_batches_trip_delivery_batch_immutable(self):
+        # A private medium: the warm one behind _run_mode is shared.
+        spec = _tiny_spec()
+        report, _ = _run_mode(spec, fast=True)
+        grid = Grid(spec.grid)
+        medium = Medium(grid)
+        honest = [Transmission(0, 1), Transmission(grid.id_of((3, 3)), 1)]
+        batch = medium.resolve_slot(honest, [])
+        ctx = OracleContext(spec=spec, report=report, medium=medium)
+        assert check_invariants(ctx) == []
+        batch.reverse()
+        failures = check_invariants(ctx)
+        assert any(
+            "delivery-batch-immutable" in f and "strictly increasing" in f
+            for f in failures
+        )
+        batch.reverse()
+        batch.corrupted_count = 1
+        failures = check_invariants(ctx)
+        assert any("corrupted_count=1" in f for f in failures)
 
     def test_doctored_stats_trip_delivery_geometry(self):
         spec = _tiny_spec()

@@ -8,10 +8,13 @@ traffic generators are the shared ones in ``tests/strategies.py``.
 
 from hypothesis import given, settings, strategies as st
 
+import repro.radio.medium as medium_mod
+from repro.radio.medium import Medium
 from repro.radio.messages import BadTransmission
 from strategies import (
     MEDIUM,
     MEDIUM_GRID as GRID,
+    MEDIUM_SCHEDULE as SCHEDULE,
     honest_for_slot,
     medium_bad_nodes as bad_nodes,
     slot_classes as slot_class,
@@ -81,3 +84,23 @@ def test_honest_only_slots_deliver_everything(slot, honest_count):
     expected = sum(len(GRID.neighbors(tx.sender)) for tx in honest)
     assert len(deliveries) == expected
     assert not any(d.corrupted for d in deliveries)
+    assert deliveries == MEDIUM.resolve_slot_reference(honest, [])
+
+
+def test_row_cache_clear_keeps_batches_identical(monkeypatch):
+    # A bound of four rows forces wholesale clears in the middle of a
+    # three-sender merge; every batch must still match the reference,
+    # and so must the batches rebuilt from fresh rows once the slot memo
+    # is gone.
+    monkeypatch.setattr(medium_mod, "_ROW_CACHE_LIMIT", 4)
+    medium = Medium(GRID)
+    slots = [honest_for_slot(slot, 3) for slot in range(SCHEDULE.period)]
+    first = []
+    for honest in slots:
+        batch = medium.resolve_slot(honest, [])
+        assert len(medium._rows) <= 4
+        assert batch == medium.resolve_slot_reference(honest, [])
+        first.append(batch)
+    medium._slot_memo.clear()
+    for honest, batch in zip(slots, first):
+        assert medium.resolve_slot(honest, []) == batch

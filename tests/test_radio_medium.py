@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, ScheduleConflictError
 from repro.network.grid import Grid, GridSpec
 from repro.radio.medium import Medium
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
+from repro.radio.schedule import TdmaSchedule
 
 
 def make_medium(r=1, width=12):
@@ -201,23 +202,33 @@ class TestSpoofSenderHygiene:
 
 
 class TestFastPathEquivalence:
-    """The flat-buffer fast path is byte-for-byte the reference path."""
+    """The fast path (row merge, flat buffers) is the reference, byte for byte."""
 
-    def test_randomized_slots_match_reference(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec(20, 20, r=2, torus=True), GridSpec(17, 13, r=2, torus=False)],
+        ids=["torus", "bounded"],
+    )
+    def test_randomized_slots_match_reference(self, spec):
+        # Up to six honest owners of one slot class (the multi-sender
+        # row merge) plus optional jams, all on one warm medium so rows
+        # are reused across slots. The bounded grid's rows are truncated
+        # at its edges.
         import random
 
-        grid = Grid(GridSpec(20, 20, r=2, torus=True))
+        grid = Grid(spec)
+        schedule = TdmaSchedule(grid)
         fast = Medium(grid, fast=True)
         reference = Medium(grid, fast=False)
         rng = random.Random(42)
         kinds = [MessageKind.DATA, MessageKind.NACK]
         for _ in range(500):
-            honest = (
-                [Transmission(rng.randrange(grid.n), rng.randint(0, 3),
-                              rng.choice(kinds))]
-                if rng.random() < 0.7
-                else []
-            )
+            owners = schedule.owners(rng.randrange(schedule.period))
+            senders = rng.sample(owners, min(len(owners), rng.randint(0, 6)))
+            honest = [
+                Transmission(sender, rng.randint(0, 1), rng.choice(kinds))
+                for sender in senders
+            ]
             byzantine = [
                 BadTransmission(
                     rng.randrange(grid.n),
@@ -228,11 +239,48 @@ class TestFastPathEquivalence:
                         rng.randrange(grid.n) if rng.random() < 0.5 else None
                     ),
                 )
-                for _ in range(rng.randint(0, 4))
+                for _ in range(rng.randint(0, 4) if rng.random() < 0.5 else 0)
             ]
             assert fast.resolve_slot(honest, byzantine) == (
                 reference.resolve_slot(honest, byzantine)
             )
+        assert fast._rows  # the honest slots went through the row cache
+
+    @pytest.mark.parametrize(
+        "spec, pair",
+        [
+            (GridSpec(20, 20, r=2, torus=True), ((5, 5), (6, 5))),  # adjacent
+            (GridSpec(20, 20, r=2, torus=True), ((5, 5), (9, 8))),  # overlap
+            (GridSpec(20, 20, r=2, torus=True), ((0, 0), (18, 19))),  # wrap
+            (GridSpec(17, 13, r=2, torus=False), ((0, 0), (1, 1))),  # adjacent
+            (GridSpec(17, 13, r=2, torus=False), ((0, 0), (4, 3))),  # overlap
+        ],
+    )
+    def test_interfering_honest_pairs_raise_on_both_paths(self, spec, pair):
+        # Honest pairs the TDMA schedule would never co-schedule, next
+        # to a far owner whose row merges cleanly: the row checks must
+        # send the slot to the flat resolver, which raises like the
+        # reference. Rows already cached from a clean slot change nothing.
+        grid = Grid(spec)
+        a, b = (grid.id_of(coord) for coord in pair)
+        far = grid.id_of((10, 10))
+        medium = Medium(grid)
+        medium.resolve_slot([Transmission(a, 1), Transmission(far, 1)], [])
+        txs = [Transmission(a, 1), Transmission(b, 1), Transmission(far, 1)]
+        for resolver in (medium.resolve_slot, medium.resolve_slot_reference):
+            with pytest.raises(ScheduleConflictError, match="collided"):
+                resolver(txs, [])
+
+    def test_adjacent_honest_senders_on_a_stripe_are_half_duplex(self):
+        # On a one-wide stripe two adjacent senders share no receiver, so
+        # nothing collides: each simply cannot hear the other. The row
+        # merge sees no receiver twice and must still defer to the flat
+        # resolver, because a receiver is itself a sender.
+        grid = Grid(GridSpec(12, 1, r=1, torus=False))
+        txs = [Transmission(4, 1), Transmission(5, 0)]
+        deliveries = Medium(grid).resolve_slot(txs, [])
+        assert deliveries == Medium(grid, fast=False).resolve_slot(txs, [])
+        assert [(d.receiver, d.sender) for d in deliveries] == [(3, 4), (6, 5)]
 
     def test_reference_twin_and_seam_registration(self):
         # The seam contract: DEFAULT_FAST selects between resolve_slot's
